@@ -386,19 +386,16 @@ func (s *Service) prepareOpt(sql string, allowRewrite bool) (*Prepared, error) {
 	}
 	comp := s.compiler()
 	cq, hit, err := s.cache.GetOrCompute(key, func() (*Compiled, error) {
-		q, err := sqlparse.Parse(fp.Canon)
-		if err != nil {
-			return nil, err
-		}
-		// Plan under the history-corrected estimator and let the cost
-		// model pick the physical knobs (bloom filters, partition count)
-		// for this statement. All of this happens inside the compute
+		// Plan the canonical tree Normalize built on this goroutine
+		// under the history-corrected estimator and let the cost model
+		// pick the physical knobs (bloom filters, partition count) for
+		// this statement. All of this happens inside the compute
 		// function only: the cache key is untouched, so the hit path
 		// stays a pure lookup, and staleness is routed through PGO
 		// generations — Adapt bumps the generation when observed
 		// cardinalities shift materially, which changes the key and
 		// forces this compute to run again under the updated history.
-		pl, err := plan.PlanWith(s.cat, q, s.estimator())
+		pl, err := plan.PlanWith(s.cat, fp.Query, s.estimator())
 		if err != nil {
 			return nil, err
 		}

@@ -227,10 +227,7 @@ func (m *Manager) Create(name, defSQL string, policy RefreshPolicy) (*View, erro
 	if err != nil {
 		return nil, fmt.Errorf("mview: %w", err)
 	}
-	def, ok, err := Summarize(fp.Canon, fp.Args, m.cat)
-	if err != nil {
-		return nil, fmt.Errorf("mview: %w", err)
-	}
+	def, ok := Summarize(fp, m.cat)
 	if !ok {
 		return nil, fmt.Errorf("mview: definition is not a summarizable single-table aggregate: %s", defSQL)
 	}

@@ -59,8 +59,8 @@ func (m *Manager) Rewrite(fp *sqlparse.Fingerprint) (*Rewrite, bool) {
 	if m.nviews.Load() == 0 {
 		return nil, false
 	}
-	qs, ok, err := Summarize(fp.Canon, fp.Args, m.cat)
-	if err != nil || !ok {
+	qs, ok := Summarize(fp, m.cat)
+	if !ok {
 		return nil, false
 	}
 	if len(qs.Aggs) == 0 && len(qs.Keys) == 0 {
@@ -290,34 +290,21 @@ func (m *Manager) costGateOK(fp *sqlparse.Fingerprint, v *View, rewritten string
 		if err != nil {
 			return false
 		}
-		viewPlan, ok := planCanon(m, rfp.Canon)
-		if !ok {
+		viewPlan, err := plan.Plan(m.cat, rfp.Query)
+		if err != nil {
 			return false
 		}
 		if m.costFn == nil {
 			return true
 		}
-		basePlan, ok := planCanon(m, fp.Canon)
-		if !ok {
+		basePlan, err := plan.Plan(m.cat, fp.Query)
+		if err != nil {
 			return false
 		}
 		return m.costFn(viewPlan) < m.costFn(basePlan)
 	}()
 	m.costGate[key] = verdict
 	return verdict
-}
-
-// planCanon parses and plans a canonical text.
-func planCanon(m *Manager, canon string) (*plan.Output, bool) {
-	q, err := sqlparse.Parse(canon)
-	if err != nil {
-		return nil, false
-	}
-	pl, err := plan.Plan(m.cat, q)
-	if err != nil {
-		return nil, false
-	}
-	return pl, true
 }
 
 // AutoEnabled reports whether heat-based admission is on — the engine's
@@ -345,8 +332,8 @@ func (m *Manager) NoteHeat(fp *sqlparse.Fingerprint, histTouches uint64) {
 	if m.heat[fp.Hash]+histTouches < m.autoThreshold {
 		return
 	}
-	qs, ok, err := Summarize(fp.Canon, fp.Args, m.cat)
-	if err != nil || !ok || (len(qs.Aggs) == 0 && len(qs.Keys) == 0) {
+	qs, ok := Summarize(fp, m.cat)
+	if !ok || (len(qs.Aggs) == 0 && len(qs.Keys) == 0) {
 		delete(m.heat, fp.Hash) // never admittable; stop counting
 		return
 	}

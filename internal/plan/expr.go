@@ -86,8 +86,9 @@ func (c *StrConst) String() string { return "'" + c.S + "'" }
 // dictionary of the column the parameter is compared with) in place, so
 // session-time argument encoding matches what a direct literal would have
 // compiled to. Because of that mutation, a Query containing Params must
-// not be planned concurrently — the cache's single-flight path parses a
-// fresh Query per compile, which satisfies this.
+// not be planned concurrently — the cache's single-flight path plans the
+// fresh Query sqlparse.Normalize built on the compiling goroutine, which
+// satisfies this.
 type Param struct {
 	Idx  int
 	Typ  catalog.Type  // encoding context, recorded at bind time

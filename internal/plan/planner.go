@@ -283,7 +283,7 @@ func (p *planner) plan() (*Output, error) {
 	// 1. Classify WHERE conjuncts into per-table filters and join edges.
 	filters := map[string][]Expr{}
 	var edges []joinEdge
-	for _, conj := range flattenAnd(p.q.Where) {
+	for _, conj := range Conjuncts(p.q.Where) {
 		var refs []*ColRef
 		exprCols(conj, &refs)
 		seen := map[string]bool{}
@@ -409,7 +409,9 @@ func (p *planner) paramInfos() ([]ParamInfo, error) {
 	return infos, nil
 }
 
-func flattenAnd(conjs []Expr) []Expr {
+// Conjuncts splits a WHERE clause's nested AND trees into its conjunct
+// list, left to right.
+func Conjuncts(conjs []Expr) []Expr {
 	var out []Expr
 	var rec func(e Expr)
 	rec = func(e Expr) {

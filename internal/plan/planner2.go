@@ -161,7 +161,7 @@ func (p *planner) payloadCols(alias string, build *Scan, keyCol string) []int {
 	}
 	// Join-edge columns must survive too: a later join may key on one of
 	// this build side's columns.
-	for _, conj := range flattenAnd(p.q.Where) {
+	for _, conj := range Conjuncts(p.q.Where) {
 		var refs []*ColRef
 		exprCols(conj, &refs)
 		aliases := map[string]bool{}

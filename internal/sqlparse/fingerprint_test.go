@@ -1,9 +1,6 @@
 package sqlparse
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func norm(t *testing.T, src string) *Fingerprint {
 	t.Helper()
@@ -189,13 +186,11 @@ func TestBetweenCollidesWithPairedComparisons(t *testing.T) {
 	}
 }
 
-// TestBetweenCompoundOperandBacksOff: the token-level desugar fires
-// only when the trailing column run is the WHOLE left operand. With a
-// compound operand (`a + b BETWEEN lo AND hi`) the naive rewrite would
-// bind the range to `b` alone and silently change the predicate, so
-// the pass must leave the statement for the parser's AST-level
-// desugar — and the conjunct sorter must keep the BETWEEN's own AND
-// attached instead of splitting (and then reordering) on it.
+// TestBetweenCompoundOperandBacksOff: BETWEEN and IN bind to their
+// WHOLE left operand. With a compound operand (`a + b BETWEEN lo AND
+// hi`) a rewrite that bound the range to `b` alone would silently change
+// the predicate; the canon must collide with the comparison form over
+// the whole operand and never with the mis-bound one.
 func TestBetweenCompoundOperandBacksOff(t *testing.T) {
 	cases := []string{
 		"select count(*) from lineitem where l_quantity + l_tax between 2 and 3",
@@ -204,28 +199,29 @@ func TestBetweenCompoundOperandBacksOff(t *testing.T) {
 	}
 	for _, sql := range cases {
 		fp := norm(t, sql)
-		if !strings.Contains(fp.Canon, "BETWEEN") {
-			t.Errorf("compound-operand BETWEEN was token-desugared:\n  %q -> %q", sql, fp.Canon)
-			continue
-		}
 		if _, err := Parse(fp.Canon); err != nil {
 			t.Errorf("canon of %q does not parse: %v\n  canon %q", sql, err, fp.Canon)
 		}
 	}
-	// The compound spelling must NOT collide with the single-column one
-	// the broken rewrite would have produced.
 	a := norm(t, "select count(*) from lineitem where l_quantity + l_tax between 2 and 3")
+	paired := norm(t, "select count(*) from lineitem where l_quantity + l_tax >= 2 and l_quantity + l_tax <= 3")
+	if a.Canon != paired.Canon {
+		t.Fatalf("compound BETWEEN did not collide with its comparison pair:\n  %q\n  %q", a.Canon, paired.Canon)
+	}
+	// The compound spelling must NOT collide with the single-column one
+	// a mis-binding rewrite would have produced.
 	b := norm(t, "select count(*) from lineitem where l_quantity + l_tax >= 2 and l_tax <= 3")
 	if a.Canon == b.Canon {
 		t.Fatalf("compound BETWEEN collided with mis-bound comparison pair: %q", a.Canon)
 	}
-	// Same back-off for IN: `a + b IN (...)` keeps its IN.
+	// Same for IN: `a + b IN (...)` is the OR-chain over the whole operand.
 	c := norm(t, "select count(*) from lineitem where l_quantity + l_tax in (2, 3)")
-	if !strings.Contains(c.Canon, " IN ") {
-		t.Fatalf("compound-operand IN was token-desugared: %q", c.Canon)
+	chain := norm(t, "select count(*) from lineitem where l_quantity + l_tax = 2 or l_quantity + l_tax = 3")
+	misbound := norm(t, "select count(*) from lineitem where l_quantity + l_tax = 2 or l_tax = 3")
+	if c.Canon != chain.Canon || c.Canon == misbound.Canon {
+		t.Fatalf("compound IN canon %q: want %q, never %q", c.Canon, chain.Canon, misbound.Canon)
 	}
-	// A parenthesized simple operand is still a clause boundary, so the
-	// desugar fires there and collides with the paired-comparison form.
+	// Redundant parentheses do not change the canon.
 	d := norm(t, "select count(*) from lineitem where (l_quantity between 5 and 20)")
 	e := norm(t, "select count(*) from lineitem where (l_quantity >= 5 and l_quantity <= 20)")
 	if d.Canon != e.Canon {

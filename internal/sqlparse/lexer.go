@@ -16,7 +16,6 @@ package sqlparse
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 type tokKind uint8
@@ -37,10 +36,20 @@ type token struct {
 	pos  int
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"ORDER": true, "LIMIT": true, "AND": true, "OR": true, "AS": true,
-	"ASC": true, "DESC": true, "NOT": true, "BETWEEN": true, "IN": true,
+var keywords = [...]string{
+	"SELECT", "FROM", "WHERE", "GROUP", "BY", "ORDER", "LIMIT", "AND", "OR",
+	"AS", "ASC", "DESC", "NOT", "BETWEEN", "IN",
+}
+
+// keyword returns the keyword s spells in any letter case, upper-cased,
+// or "" if s is not a keyword. It does not allocate.
+func keyword(s string) string {
+	for _, kw := range keywords {
+		if len(kw) == len(s) && strings.EqualFold(kw, s) {
+			return kw
+		}
+	}
+	return ""
 }
 
 type lexer struct {
@@ -50,7 +59,9 @@ type lexer struct {
 }
 
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	// One token per four source bytes covers typical statements, so the
+	// token slice is allocated once.
+	l := &lexer{src: src, toks: make([]token, 0, len(src)/4+1)}
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.src) {
@@ -60,7 +71,7 @@ func lex(src string) ([]token, error) {
 		start := l.pos
 		c := l.src[l.pos]
 		switch {
-		case isIdentStart(rune(c)):
+		case isIdentStart(c):
 			l.lexIdent(start)
 		case c >= '0' && c <= '9':
 			l.lexNumber(start)
@@ -89,25 +100,26 @@ func (l *lexer) skipSpace() {
 			}
 			continue
 		}
-		if !unicode.IsSpace(rune(c)) {
+		if c != ' ' && c != '\t' && c != '\n' && c != '\r' && c != '\f' && c != '\v' {
 			return
 		}
 		l.pos++
 	}
 }
 
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+// Identifiers and whitespace are ASCII-only: any other byte outside a
+// string literal or comment is an unexpected character.
+func isIdentStart(c byte) bool {
+	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
 }
 
 func (l *lexer) lexIdent(start int) {
-	for l.pos < len(l.src) && (isIdentStart(rune(l.src[l.pos])) || l.src[l.pos] >= '0' && l.src[l.pos] <= '9') {
+	for l.pos < len(l.src) && (isIdentStart(l.src[l.pos]) || l.src[l.pos] >= '0' && l.src[l.pos] <= '9') {
 		l.pos++
 	}
 	text := l.src[start:l.pos]
-	up := strings.ToUpper(text)
-	if keywords[up] {
-		l.toks = append(l.toks, token{kind: tkKeyword, text: up, pos: start})
+	if kw := keyword(text); kw != "" {
+		l.toks = append(l.toks, token{kind: tkKeyword, text: kw, pos: start})
 		return
 	}
 	l.toks = append(l.toks, token{kind: tkIdent, text: text, pos: start})
@@ -122,21 +134,25 @@ func (l *lexer) lexNumber(start int) {
 
 func (l *lexer) lexString(start int) error {
 	l.pos++ // opening quote
-	var sb strings.Builder
+	body := l.pos
+	escaped := false // the literal contains a doubled quote
 	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				sb.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
+		if l.src[l.pos] != '\'' {
 			l.pos++
-			l.toks = append(l.toks, token{kind: tkString, text: sb.String(), pos: start})
-			return nil
+			continue
 		}
-		sb.WriteByte(c)
+		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
+			escaped = true
+			l.pos += 2
+			continue
+		}
+		text := l.src[body:l.pos]
+		if escaped {
+			text = strings.ReplaceAll(text, "''", "'")
+		}
 		l.pos++
+		l.toks = append(l.toks, token{kind: tkString, text: text, pos: start})
+		return nil
 	}
 	return fmt.Errorf("sql: unterminated string literal at %d", start)
 }

@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -242,9 +243,11 @@ func (p *parser) parseCmp() (plan.Expr, error) {
 			return &plan.Bin{Op: op, L: l, R: r}, nil
 		}
 	}
-	// BETWEEN and IN desugar at parse time into the comparison form the
-	// planner handles (Normalize performs the same rewrite token-level so
-	// the spellings share a fingerprint, but raw statements parse too).
+	// BETWEEN and IN desugar here, into the comparison form the planner
+	// handles: `x BETWEEN lo AND hi` into `x >= lo AND x <= hi`, and
+	// `x IN (a, b)` into `(x = a OR x = b)` with items whose printed text
+	// repeats dropped. Normalize prints its canon from this tree, so
+	// these spellings and their comparison forms share one fingerprint.
 	if p.accept(tkKeyword, "BETWEEN") {
 		lo, err := p.parseAdd()
 		if err != nil {
@@ -266,20 +269,24 @@ func (p *parser) parseCmp() (plan.Expr, error) {
 			return nil, err
 		}
 		var chain plan.Expr
+		var seen []string // printed text of the items kept so far
 		for {
 			item, err := p.parseAdd()
 			if err != nil {
 				return nil, err
 			}
-			var operand plan.Expr = l
-			if chain != nil {
-				operand = cloneExpr(l)
-			}
-			eq := &plan.Bin{Op: plan.OpEq, L: operand, R: item}
-			if chain == nil {
-				chain = eq
-			} else {
-				chain = &plan.Bin{Op: plan.OpOr, L: chain, R: eq}
+			if text := exprText(item); !slices.Contains(seen, text) {
+				seen = append(seen, text)
+				var operand plan.Expr = l
+				if chain != nil {
+					operand = cloneExpr(l)
+				}
+				eq := &plan.Bin{Op: plan.OpEq, L: operand, R: item}
+				if chain == nil {
+					chain = eq
+				} else {
+					chain = &plan.Bin{Op: plan.OpOr, L: chain, R: eq}
+				}
 			}
 			if !p.accept(tkSymbol, ",") {
 				break
